@@ -31,7 +31,6 @@ from .fuzzy import (
     build_default_variables,
     classify_trust,
     defuzzify_centroid,
-    fam_lookup,
     fam_people20,
     fam_people100,
     fuzzify,
@@ -61,13 +60,12 @@ from .opinions import (
 )
 from .topology import (
     And,
-    ComponentAssessment,
     Formula,
     Leaf,
     NodeAssessment,
     Not,
     Or,
-    RootAssessment,
+    Readout,
     Scenario,
     ScenarioDefaults,
     SystemReport,

@@ -39,7 +39,7 @@ from .fuzzy import (
     gaussian_mf,
 )
 from .opinions import NotMode, behavioral_probability
-from .topology import SystemReport, assess_system, load_scenario
+from .topology import Readout, SystemReport, assess_system, load_scenario
 
 __all__ = ["RunConfig", "build_parser", "main", "console_main", "render_json"]
 
@@ -57,7 +57,6 @@ class RunConfig:
 
     not_mode: NotMode = NotMode.NEGATE_CERTAINTY
     sampling_step: float = 0.1
-    scale: float | None = None  # None: scenario defaults apply
     f: float = 0.5
     output_format: str = "table"
     membership_overrides: dict = field(default_factory=dict)
@@ -66,8 +65,6 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.sampling_step <= 1.0:
             raise ConfigError(f"sampling step must lie in (0, 1], got {self.sampling_step}")
-        if self.scale is not None and not self.scale >= 1:
-            raise ConfigError(f"scale must be >= 1, got {self.scale}")
         if not 0.0 < self.f <= 1.0:
             raise ConfigError(f"f must lie in (0, 1], got {self.f}")
         if self.output_format not in _FORMATS:
@@ -84,7 +81,7 @@ def _parse_not_mode(value: str) -> NotMode:
         raise ConfigError(f"unknown NOT mode {value!r}; use 'paper' or 'preserve-certainty'") from None
 
 
-_CONFIG_KEYS = {"not_mode", "sampling_step", "scale", "f", "output_format", "membership_overrides"}
+_CONFIG_KEYS = {"not_mode", "sampling_step", "f", "output_format", "membership_overrides"}
 
 
 def _load_config_file(path: str) -> dict:
@@ -111,8 +108,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         values["not_mode"] = args.not_mode
     if getattr(args, "step", None) is not None:
         values["sampling_step"] = args.step
-    if getattr(args, "scale", None) is not None:
-        values["scale"] = args.scale
     if getattr(args, "f", None) is not None:
         values["f"] = args.f
     if isinstance(values.get("not_mode"), str):
@@ -126,7 +121,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         config = RunConfig(
             not_mode=values.get("not_mode", NotMode.NEGATE_CERTAINTY),
             sampling_step=float(values.get("sampling_step", 0.1)),
-            scale=float(values["scale"]) if values.get("scale") is not None else None,
             f=float(values.get("f", 0.5)),
             output_format=values.get("output_format", "table"),
             membership_overrides=overrides,
@@ -192,78 +186,74 @@ def _emit(text: str, out_path: str | None) -> None:
 # --------------------------------------------------------------------------
 # assess
 
-def _component_doc(name: str, opinion, e: float, t_pct: float, t_class, behavior) -> dict:
+def _tcfe(row) -> tuple[float, ...]:
+    """The t, c, f and E values that every report row carries."""
+    return (row.opinion.t, row.opinion.c, row.opinion.f, row.expectation)
+
+
+def _tcfe_cells(row) -> list[str]:
+    return [_f3(v) for v in _tcfe(row)]
+
+
+def _tcfe_doc(row) -> dict:
+    return dict(zip(("t", "c", "f", "expectation"), (round(v, 3) for v in _tcfe(row))))
+
+
+def _readout_doc(r: Readout) -> dict:
     return {
-        "id": name,
-        "t": round(opinion.t, 3),
-        "c": round(opinion.c, 3),
-        "f": round(opinion.f, 3),
-        "expectation": round(e, 3),
-        "trust_percent": round(t_pct, 2),
-        "trust_class": t_class.value,
-        "behavior_percent": round(behavior.behavior_percent, 2),
-        "behavior_percent_raw": round(behavior.behavior_percent_raw, 2),
-        "behavior_class": behavior.behavior_class.value,
-        "direction": behavior.direction.value,
+        **_tcfe_doc(r),
+        "trust_percent": round(r.trust_percent, 2),
+        "trust_class": r.trust_class.value,
+        "behavior_percent": round(r.behavior.behavior_percent, 2),
+        "behavior_percent_raw": round(r.behavior.behavior_percent_raw, 2),
+        "behavior_class": r.behavior.behavior_class.value,
+        "direction": r.behavior.direction.value,
     }
 
 
 def _report_doc(report: SystemReport) -> dict:
-    components = [
-        _component_doc(c.name, c.opinion, c.expectation, c.trust_percent, c.trust_class, c.behavior)
-        for c in report.components
-    ]
-    nodes = [
-        {
-            "path": n.path,
-            "expression": n.expression,
-            "t": round(n.opinion.t, 3),
-            "c": round(n.opinion.c, 3),
-            "f": round(n.opinion.f, 3),
-            "expectation": round(n.expectation, 3),
-        }
-        for n in report.nodes
-    ]
-    root = _component_doc(
-        "root", report.root.opinion, report.root.expectation, report.root.trust_percent,
-        report.root.trust_class, report.root.behavior,
-    )
-    del root["id"]
-    root["expression"] = report.root.expression
-    return {"components": components, "nodes": nodes, "root": root}
+    return {
+        "components": [{"id": c.name, **_readout_doc(c)} for c in report.components],
+        "nodes": [{"path": n.path, "expression": n.expression, **_tcfe_doc(n)} for n in report.nodes],
+        "root": {"expression": report.root.name, **_readout_doc(report.root)},
+    }
 
 
-def _component_cells(c) -> list[str]:
+def _readout_table_cells(r: Readout) -> list[str]:
     return [
-        _f3(c.opinion.t),
-        _f3(c.opinion.c),
-        _f3(c.opinion.f),
-        _f3(c.expectation),
-        _f2(c.trust_percent),
-        _short_class(c.trust_class),
-        _s2(c.behavior.behavior_percent),
-        c.behavior.direction.value,
+        *_tcfe_cells(r),
+        _f2(r.trust_percent),
+        _short_class(r.trust_class),
+        _s2(r.behavior.behavior_percent),
+        r.behavior.direction.value,
     ]
 
 
 def _report_table(report: SystemReport) -> str:
     parts = ["components:\n"]
     headers = ["name", "t", "c", "f", "E", "T", "class", "P", "direction"]
-    rows = [[c.name, *_component_cells(c)] for c in report.components]
+    rows = [[c.name, *_readout_table_cells(c)] for c in report.components]
     parts.append(_render_table(headers, rows))
     parts.append("\nformula nodes (recomputed from the leaves):\n")
-    node_rows = [
-        [n.path, n.expression, _f3(n.opinion.t), _f3(n.opinion.c), _f3(n.opinion.f), _f3(n.expectation)]
-        for n in report.nodes
-    ]
+    node_rows = [[n.path, n.expression, *_tcfe_cells(n)] for n in report.nodes]
     parts.append(_render_table(["path", "expression", "t", "c", "f", "E"], node_rows))
-    r = report.root
     parts.append(
-        f"\nroot {r.expression!r}: t={_f3(r.opinion.t)} c={_f3(r.opinion.c)} f={_f3(r.opinion.f)} "
-        f"E={_f3(r.expectation)} T={_f2(r.trust_percent)} class={_short_class(r.trust_class)} "
-        f"P={_s2(r.behavior.behavior_percent)} ({r.behavior.direction.value})\n"
+        "\nroot {!r}: t={} c={} f={} E={} T={} class={} P={} ({})\n".format(
+            report.root.name, *_readout_table_cells(report.root)
+        )
     )
     return "".join(parts)
+
+
+def _readout_csv_cells(r: Readout) -> list[str]:
+    return [
+        *_tcfe_cells(r),
+        _f2(r.trust_percent),
+        r.trust_class.value,
+        _s2(r.behavior.behavior_percent),
+        r.behavior.behavior_class.value,
+        r.behavior.direction.value,
+    ]
 
 
 def _report_csv(report: SystemReport) -> str:
@@ -271,31 +261,16 @@ def _report_csv(report: SystemReport) -> str:
         "kind", "name", "expression", "t", "c", "f", "expectation",
         "trust_percent", "trust_class", "behavior_percent", "behavior_class", "direction",
     ]
-    rows = []
-    for c in report.components:
-        rows.append([
-            "component", c.name, "", _f3(c.opinion.t), _f3(c.opinion.c), _f3(c.opinion.f),
-            _f3(c.expectation), _f2(c.trust_percent), c.trust_class.value,
-            _s2(c.behavior.behavior_percent), c.behavior.behavior_class.value, c.behavior.direction.value,
-        ])
-    for n in report.nodes:
-        rows.append([
-            "node", n.path, n.expression, _f3(n.opinion.t), _f3(n.opinion.c), _f3(n.opinion.f),
-            _f3(n.expectation), "", "", "", "", "",
-        ])
-    r = report.root
-    rows.append([
-        "root", "root", r.expression, _f3(r.opinion.t), _f3(r.opinion.c), _f3(r.opinion.f),
-        _f3(r.expectation), _f2(r.trust_percent), r.trust_class.value,
-        _s2(r.behavior.behavior_percent), r.behavior.behavior_class.value, r.behavior.direction.value,
-    ])
+    rows = [["component", c.name, "", *_readout_csv_cells(c)] for c in report.components]
+    rows += [["node", n.path, n.expression, *_tcfe_cells(n), "", "", "", "", ""] for n in report.nodes]
+    rows.append(["root", "root", report.root.name, *_readout_csv_cells(report.root)])
     return _render_csv(headers, rows)
 
 
 def cmd_assess(args: argparse.Namespace, config: RunConfig) -> int:
     scenario = load_scenario(args.scenario)
     trust_var = config.variables()[2]
-    report = assess_system(scenario, not_mode=config.not_mode, trust_var=trust_var, scale=config.scale)
+    report = assess_system(scenario, not_mode=config.not_mode, trust_var=trust_var)
     if config.output_format == "json":
         text = render_json(_report_doc(report))
     elif config.output_format == "csv":
@@ -519,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--not-mode", dest="not_mode", choices=("paper", "preserve-certainty"),
                         help="NOT operator convention (default: paper)")
     common.add_argument("--step", type=float, help="trust-domain sampling step (default: 0.1)")
-    common.add_argument("--scale", type=float, help="high scaling value of the rating (default: 5)")
     common.add_argument("--f", type=float, help="initial expectation for behavior metrics (default: 0.5)")
     common.add_argument("--explain", action="store_true", help="print per-rule firing weights")
 

@@ -58,7 +58,6 @@ __all__ = [
     "classify_trust",
     "fam_people20",
     "fam_people100",
-    "fam_lookup",
 ]
 
 _HALF_HEIGHT = math.sqrt(2.0 * math.log(2.0))
@@ -459,10 +458,6 @@ class FamTable:
     def lookup(self, c: float, t: float) -> FamClass:
         """Class of the cell whose grid point is nearest to (c, t); ties round down."""
         return self.cells[self._nearest(self.c_grid, c, "certainty")][self._nearest(self.t_grid, t, "rating")]
-
-
-def fam_lookup(table: FamTable, c: float, t: float) -> FamClass:
-    return table.lookup(c, t)
 
 
 def _parse_cells(rows: Sequence[str]) -> tuple[tuple[FamClass, ...], ...]:

@@ -136,8 +136,8 @@ class EvidenceRecord:
     """Raw evidence for one proposition plus its context parameters.
 
     ``r``/``s`` count positive/negative evidence, ``big_n`` is the maximum
-    number of evidence, ``w`` the dispositional trust, ``f`` the initial
-    expectation and ``scale`` the high scaling value of the rating.
+    number of evidence, ``w`` the dispositional trust and ``f`` the initial
+    expectation.
     """
 
     r: int
@@ -145,7 +145,6 @@ class EvidenceRecord:
     big_n: int
     w: float = 1.0
     f: float = 0.5
-    scale: float = 5.0
 
     def __post_init__(self):
         if self.r < 0 or self.s < 0:
@@ -159,8 +158,6 @@ class EvidenceRecord:
         if not self.w > 0:
             raise DomainError(f"dispositional trust w must be positive, got {self.w}")
         _check_unit("initial expectation f", self.f)
-        if not self.scale >= 1:
-            raise DomainError(f"rating scale must be >= 1, got {self.scale}")
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Union
@@ -70,9 +71,8 @@ __all__ = [
     "Scenario",
     "scenario_from_dict",
     "load_scenario",
-    "ComponentAssessment",
+    "Readout",
     "NodeAssessment",
-    "RootAssessment",
     "SystemReport",
     "assess_system",
 ]
@@ -110,41 +110,82 @@ class Or(Formula):
     right: Formula
 
 
+_PRECEDENCE = {Or: 1, And: 2, Not: 3, Leaf: 4}
+
+
+def _operand(text: str, child: Formula, bound: int) -> str:
+    """Parenthesize an operand whose precedence falls below ``bound``."""
+    return f"({text})" if _PRECEDENCE[type(child)] < bound else text
+
+
+def _fold(
+    formula: Formula,
+    leaves: Mapping[str, Opinion] | None = None,
+    not_mode: NotMode = NotMode.NEGATE_CERTAINTY,
+):
+    """One post-order pass: yield ``(node, path, text, opinion)`` per node.
+
+    Children come before their parent; the root comes last.  Each node's
+    text is built once from its children's texts with minimal parentheses,
+    so ``parse(unparse(x)) == x``.  With ``leaves`` the opinion operators are
+    folded along the way (an unbound leaf raises ``UnboundComponentError``, an
+    operator domain failure ``EvaluationError``); without, every opinion is
+    None.  The pass keeps an explicit stack, so depth is bounded by memory
+    alone, and holds only the results still waiting for their parent.
+    """
+    pending: list[tuple[str, Opinion | None]] = []
+    stack = [(formula, "root", False)]
+    while stack:
+        node, path, expanded = stack.pop()
+        op = None
+        if isinstance(node, Leaf):
+            text = node.name
+            if leaves is not None:
+                try:
+                    op = leaves[node.name]
+                except KeyError:
+                    raise UnboundComponentError(node.name) from None
+        elif not isinstance(node, (Not, And, Or)):
+            raise TypeError(f"not a formula node: {node!r}")
+        elif not expanded:
+            stack.append((node, path, True))
+            if isinstance(node, Not):
+                stack.append((node.child, f"{path}.operand", False))
+            else:
+                stack.append((node.right, f"{path}.right", False))
+                stack.append((node.left, f"{path}.left", False))
+            continue
+        elif isinstance(node, Not):
+            child_text, child_op = pending.pop()
+            text = "!" + _operand(child_text, node.child, _PRECEDENCE[Not])
+            if leaves is not None:
+                op = op_not(child_op, not_mode)
+        else:
+            right_text, right_op = pending.pop()
+            left_text, left_op = pending.pop()
+            prec = _PRECEDENCE[type(node)]
+            # left-associative: an equal-precedence right operand needs parens
+            text = (
+                f"{_operand(left_text, node.left, prec)} {'&' if isinstance(node, And) else '|'} "
+                f"{_operand(right_text, node.right, prec + 1)}"
+            )
+            if leaves is not None:
+                try:
+                    op = op_and(left_op, right_op) if isinstance(node, And) else op_or(left_op, right_op)
+                except DomainError as exc:
+                    raise EvaluationError(str(exc), path, text) from exc
+        pending.append((text, op))
+        yield node, path, text, op
+
+
 def free_variables(node: Formula) -> frozenset[str]:
     """The component names referenced by a formula."""
-    if isinstance(node, Leaf):
-        return frozenset((node.name,))
-    if isinstance(node, Not):
-        return free_variables(node.child)
-    if isinstance(node, (And, Or)):
-        return free_variables(node.left) | free_variables(node.right)
-    raise TypeError(f"not a formula node: {node!r}")
-
-
-_PRECEDENCE = {Or: 1, And: 2, Not: 3, Leaf: 4}
+    return frozenset(n.name for n, _, _, _ in _fold(node) if isinstance(n, Leaf))
 
 
 def unparse(node: Formula) -> str:
     """Render a formula with minimal parentheses; parse(unparse(x)) == x."""
-    if isinstance(node, Leaf):
-        return node.name
-    if isinstance(node, Not):
-        child = unparse(node.child)
-        if _PRECEDENCE[type(node.child)] < _PRECEDENCE[Not]:
-            child = f"({child})"
-        return f"!{child}"
-    if isinstance(node, (And, Or)):
-        symbol = "&" if isinstance(node, And) else "|"
-        prec = _PRECEDENCE[type(node)]
-        left = unparse(node.left)
-        if _PRECEDENCE[type(node.left)] < prec:
-            left = f"({left})"
-        right = unparse(node.right)
-        # left-associative: an equal-precedence right child needs parens
-        if _PRECEDENCE[type(node.right)] <= prec:
-            right = f"({right})"
-        return f"{left} {symbol} {right}"
-    raise TypeError(f"not a formula node: {node!r}")
+    return deque(_fold(node), maxlen=1).pop()[2]
 
 
 _TOKEN_RE = re.compile(
@@ -159,7 +200,7 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_KEYWORDS = {"and": "and", "or": "or", "not": "not"}
+_KEYWORDS = {"and", "or", "not"}
 
 
 @dataclass(frozen=True)
@@ -187,8 +228,8 @@ def _tokenize(text: str) -> list[_Token]:
         kind = match.lastgroup
         if kind != "ws":
             value = match.group()
-            if kind == "ident":
-                kind = _KEYWORDS.get(value.casefold(), "ident")
+            if kind == "ident" and value.casefold() in _KEYWORDS:
+                kind = value.casefold()
             tokens.append(_Token(kind, value, _byte_offset(text, index)))
         index = match.end()
     tokens.append(_Token("end", "", _byte_offset(text, len(text))))
@@ -209,7 +250,7 @@ _ATOM_EXPECTED = frozenset({"identifier", "'('", "'!'"})
 
 
 class _Parser:
-    """Recursive-descent parser over the token list."""
+    """Recursive-descent parser over the token list; only parentheses recurse."""
 
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -242,9 +283,13 @@ class _Parser:
         return node
 
     def unary(self) -> Formula:
-        if self.match("not"):
-            return Not(self.unary())
-        return self.atom()
+        negations = 0
+        while self.match("not"):
+            negations += 1
+        node = self.atom()
+        for _ in range(negations):
+            node = Not(node)
+        return node
 
     def atom(self) -> Formula:
         token = self.peek()
@@ -275,7 +320,10 @@ def parse_formula(text: str) -> Formula:
     if not text or not text.strip():
         raise FormulaSyntaxError("empty formula", 0, _ATOM_EXPECTED)
     parser = _Parser(_tokenize(text))
-    node = parser.or_expr()
+    try:
+        node = parser.or_expr()
+    except RecursionError:
+        raise FormulaSyntaxError("parentheses nested too deeply", parser.peek().offset) from None
     trailing = parser.peek()
     if trailing.kind != "end":
         if trailing.kind == "rparen":
@@ -299,25 +347,7 @@ def evaluate_formula(
     wraps operator domain failures into ``EvaluationError`` carrying the
     offending subexpression and its path.
     """
-    return _evaluate(node, leaves, not_mode, "root")
-
-
-def _evaluate(node: Formula, leaves: Mapping[str, Opinion], not_mode: NotMode, path: str) -> Opinion:
-    if isinstance(node, Leaf):
-        try:
-            return leaves[node.name]
-        except KeyError:
-            raise UnboundComponentError(node.name) from None
-    if isinstance(node, Not):
-        return op_not(_evaluate(node.child, leaves, not_mode, f"{path}.operand"), not_mode)
-    if isinstance(node, (And, Or)):
-        left = _evaluate(node.left, leaves, not_mode, f"{path}.left")
-        right = _evaluate(node.right, leaves, not_mode, f"{path}.right")
-        try:
-            return op_and(left, right) if isinstance(node, And) else op_or(left, right)
-        except DomainError as exc:
-            raise EvaluationError(str(exc), path, unparse(node)) from exc
-    raise TypeError(f"not a formula node: {node!r}")
+    return deque(_fold(node, leaves, not_mode), maxlen=1).pop()[3]
 
 
 @dataclass(frozen=True)
@@ -327,7 +357,6 @@ class ScenarioDefaults:
     big_n: int | None = None
     w: float = 1.0
     f: float = 0.5
-    scale: float = 5.0
 
 
 @dataclass(frozen=True)
@@ -348,7 +377,7 @@ class Scenario:
             )
 
 
-_EVIDENCE_KEYS = {"r", "s", "N", "w", "f", "scale"}
+_EVIDENCE_KEYS = {"r", "s", "N", "w", "f"}
 _DIRECT_KEYS = {"t", "c", "f"}
 
 
@@ -377,7 +406,6 @@ def _component_from_dict(name: str, raw: dict, defaults: ScenarioDefaults):
                 big_n=_as_count(big_n, f"{where}.N"),
                 w=_as_number(raw.get("w", defaults.w), f"{where}.w"),
                 f=_as_number(raw.get("f", defaults.f), f"{where}.f"),
-                scale=_as_number(raw.get("scale", defaults.scale), f"{where}.scale"),
             )
         if has_direct:
             unknown = keys - _DIRECT_KEYS
@@ -390,8 +418,6 @@ def _component_from_dict(name: str, raw: dict, defaults: ScenarioDefaults):
                 c=_as_number(raw["c"], f"{where}.c"),
                 f=_as_number(raw.get("f", defaults.f), f"{where}.f"),
             )
-    except ScenarioError:
-        raise
     except DomainError as exc:
         raise ScenarioError(str(exc), where) from exc
     raise ScenarioError("component must give either evidence (r, s) or a direct opinion (t, c)", where)
@@ -415,7 +441,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     Document shape::
 
         {"formula": "<DSL string>",
-         "defaults": {"N": ..., "w": ..., "f": ..., "scale": ...},
+         "defaults": {"N": ..., "w": ..., "f": ...},
          "components": {"A1": {"r": 5, "s": 2} | {"t": 0.714, "c": 0.724, "f": 0.5}, ...}}
     """
     if not isinstance(doc, dict):
@@ -430,14 +456,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
     raw_defaults = doc.get("defaults", {})
     if not isinstance(raw_defaults, dict):
         raise ScenarioError("must be an object", "defaults")
-    unknown = set(raw_defaults) - {"N", "w", "f", "scale"}
+    unknown = set(raw_defaults) - {"N", "w", "f"}
     if unknown:
         raise ScenarioError(f"unknown field(s) {sorted(unknown)}", "defaults")
     defaults = ScenarioDefaults(
         big_n=_as_count(raw_defaults["N"], "defaults.N") if "N" in raw_defaults else None,
         w=_as_number(raw_defaults.get("w", 1.0), "defaults.w"),
         f=_as_number(raw_defaults.get("f", 0.5), "defaults.f"),
-        scale=_as_number(raw_defaults.get("scale", 5.0), "defaults.scale"),
     )
     raw_components = doc.get("components")
     if not isinstance(raw_components, dict) or not raw_components:
@@ -464,12 +489,17 @@ def load_scenario(path: str | Path) -> Scenario:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ScenarioError("invalid JSON: arrays or objects nested too deeply") from None
     return scenario_from_dict(doc)
 
 
 @dataclass(frozen=True)
-class ComponentAssessment:
-    """Full metric readout for one named component."""
+class Readout:
+    """Full metric readout for one component or for the system root.
+
+    ``name`` is the component name, or the root's formula text.
+    """
 
     name: str
     opinion: Opinion
@@ -490,35 +520,28 @@ class NodeAssessment:
 
 
 @dataclass(frozen=True)
-class RootAssessment:
-    """Composite system readout at the formula root."""
-
-    expression: str
-    opinion: Opinion
-    expectation: float
-    trust_percent: float
-    trust_class: FuzzyLabel
-    behavior: TrustAssessment
-
-
-@dataclass(frozen=True)
 class SystemReport:
-    components: tuple[ComponentAssessment, ...]
+    components: tuple[Readout, ...]
     nodes: tuple[NodeAssessment, ...]
-    root: RootAssessment
+    root: Readout
 
 
-def _assess_opinion(op: Opinion, scale: float, trust_var: LinguisticVariable | None):
-    e = expectation(op)
-    t_pct = trust_percent(op, scale)
-    return e, t_pct, classify_trust(t_pct, trust_var), behavioral_probability(t_pct, op.f)
+def _readout(name: str, op: Opinion, trust_var: LinguisticVariable | None) -> Readout:
+    t_pct = trust_percent(op)
+    return Readout(
+        name=name,
+        opinion=op,
+        expectation=expectation(op),
+        trust_percent=t_pct,
+        trust_class=classify_trust(t_pct, trust_var),
+        behavior=behavioral_probability(t_pct, op.f),
+    )
 
 
 def assess_system(
     scenario: Scenario,
     not_mode: NotMode = NotMode.NEGATE_CERTAINTY,
     trust_var: LinguisticVariable | None = None,
-    scale: float | None = None,
 ) -> SystemReport:
     """Assess every component, every formula node and the system root.
 
@@ -526,49 +549,14 @@ def assess_system(
     expectation (composite priors emerge from the operator algebra, they are
     never user-supplied at internal nodes).
     """
-    effective_scale = scenario.defaults.scale if scale is None else scale
-    opinions: dict[str, Opinion] = {}
-    components = []
-    for name, entry in scenario.components.items():
-        op = derive_opinion(entry) if isinstance(entry, EvidenceRecord) else entry
-        opinions[name] = op
-        e, t_pct, t_class, behavior = _assess_opinion(op, effective_scale, trust_var)
-        components.append(
-            ComponentAssessment(
-                name=name,
-                opinion=op,
-                expectation=e,
-                trust_percent=t_pct,
-                trust_class=t_class,
-                behavior=behavior,
-            )
-        )
-
-    nodes: list[NodeAssessment] = []
-
-    def walk(node: Formula, path: str) -> Opinion:
-        if isinstance(node, Leaf):
-            op = _evaluate(node, opinions, not_mode, path)
-        elif isinstance(node, Not):
-            op = op_not(walk(node.child, f"{path}.operand"), not_mode)
-        else:
-            left = walk(node.left, f"{path}.left")
-            right = walk(node.right, f"{path}.right")
-            try:
-                op = op_and(left, right) if isinstance(node, And) else op_or(left, right)
-            except DomainError as exc:
-                raise EvaluationError(str(exc), path, unparse(node)) from exc
-        nodes.append(NodeAssessment(path=path, expression=unparse(node), opinion=op, expectation=expectation(op)))
-        return op
-
-    root_opinion = walk(scenario.formula, "root")
-    e, t_pct, t_class, behavior = _assess_opinion(root_opinion, effective_scale, trust_var)
-    root = RootAssessment(
-        expression=unparse(scenario.formula),
-        opinion=root_opinion,
-        expectation=e,
-        trust_percent=t_pct,
-        trust_class=t_class,
-        behavior=behavior,
+    opinions = {
+        name: derive_opinion(entry) if isinstance(entry, EvidenceRecord) else entry
+        for name, entry in scenario.components.items()
+    }
+    components = tuple(_readout(name, op, trust_var) for name, op in opinions.items())
+    nodes = tuple(
+        NodeAssessment(path=path, expression=text, opinion=op, expectation=expectation(op))
+        for _, path, text, op in _fold(scenario.formula, opinions, not_mode)
     )
-    return SystemReport(components=tuple(components), nodes=tuple(nodes), root=root)
+    root = nodes[-1]
+    return SystemReport(components=components, nodes=nodes, root=_readout(root.expression, root.opinion, trust_var))

@@ -257,7 +257,7 @@ class TestCaseStudy:
 class TestConfigFile:
     def test_config_file_sets_format_and_flags_override(self, capsys, tmp_path, case1_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"output_format": "json", "scale": 5}))
+        config.write_text(json.dumps({"output_format": "json"}))
         _, out, _ = run(capsys, "assess", case1_path, "--config", str(config))
         assert json.loads(out)["root"]["expression"]
         _, out, _ = run(capsys, "assess", case1_path, "--config", str(config), "--format", "csv")
@@ -304,3 +304,38 @@ class TestExitCodesAndHelp:
 
     def test_unknown_command(self, capsys):
         assert cli.main(["transmute"]) == 2
+
+
+class TestDeepInputs:
+    """Deep inputs end in a result or a typed error, never a traceback."""
+
+    def write(self, tmp_path, text: str) -> str:
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        return str(path)
+
+    def scenario(self, tmp_path, formula: str, names) -> str:
+        components = {name: {"t": 0.9, "c": 0.8, "f": 0.999} for name in names}
+        return self.write(tmp_path, json.dumps({"formula": formula, "components": components}))
+
+    def test_long_chain_assesses(self, capsys, tmp_path):
+        names = [f"L{i}" for i in range(1200)]
+        path = self.scenario(tmp_path, " & ".join(names), names)
+        code, out, _ = run(capsys, "assess", path, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("root,root,L0 & L1 & ")
+
+    def test_stacked_negations_assess(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "assess", self.scenario(tmp_path, "!" * 1200 + "A", ["A"]), "--format", "json")
+        assert code == 0
+
+    def test_deep_parentheses_are_usage_error(self, capsys, tmp_path):
+        path = self.scenario(tmp_path, "(" * 400 + "A" + ")" * 400, ["A"])
+        code, _, err = run(capsys, "assess", path)
+        assert code == 2
+        assert "nested too deeply at byte offset" in err
+
+    def test_deep_json_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "assess", self.write(tmp_path, "[" * 200_000 + "]" * 200_000))
+        assert code == 2
+        assert "nested too deeply" in err

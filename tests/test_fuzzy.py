@@ -21,7 +21,6 @@ from certaintrust import (
     build_default_variables,
     classify_trust,
     defuzzify_centroid,
-    fam_lookup,
     fam_people20,
     fam_people100,
     fuzzify,
@@ -377,15 +376,15 @@ class TestFamTables:
         assert got == [" ".join(r.split()) for r in EXPECTED_PEOPLE100]
 
     def test_lookup_anchors(self):
-        assert fam_lookup(fam_people20(), 1.0, 5.0) is FamClass.VH
-        assert fam_lookup(fam_people20(), 0.0, 3.0) is FamClass.N
-        assert fam_lookup(fam_people100(), 0.5, 2.5) is FamClass.L
-        assert fam_lookup(fam_people100(), 0.9, 4.5) is FamClass.VH
+        assert fam_people20().lookup(1.0, 5.0) is FamClass.VH
+        assert fam_people20().lookup(0.0, 3.0) is FamClass.N
+        assert fam_people100().lookup(0.5, 2.5) is FamClass.L
+        assert fam_people100().lookup(0.9, 4.5) is FamClass.VH
 
     def test_rounding_ties_go_low(self):
         # 0.1 sits exactly between the 0.0 and 0.2 rows; 1.5 between columns 1 and 2
-        assert fam_lookup(fam_people20(), 0.1, 3.0) is FamClass.N
-        assert fam_lookup(fam_people20(), 1.0, 1.5) is FamClass.VL
+        assert fam_people20().lookup(0.1, 3.0) is FamClass.N
+        assert fam_people20().lookup(1.0, 1.5) is FamClass.VL
 
     def test_half_step_bounds(self):
         table = fam_people20()

@@ -106,8 +106,6 @@ class TestDeriveOpinion:
             EvidenceRecord(r=8, s=3, big_n=10)
         with pytest.raises(DomainError):
             EvidenceRecord(r=1, s=1, big_n=10, f=1.5)
-        with pytest.raises(DomainError):
-            EvidenceRecord(r=1, s=1, big_n=10, scale=0.5)
 
 
 class TestExpectation:

@@ -257,7 +257,7 @@ class TestScenario:
     def scenario_doc(self):
         return {
             "formula": "(A | B) & C",
-            "defaults": {"N": 10, "w": 1.0, "f": 0.5, "scale": 5},
+            "defaults": {"N": 10, "w": 1.0, "f": 0.5},
             "components": {
                 "A": {"r": 5, "s": 2, "N": 7},
                 "B": {"t": 0.459, "c": 0.806},
@@ -335,6 +335,17 @@ class TestScenario:
         with pytest.raises(ScenarioError, match="line 2"):
             load_scenario(path)
 
+    def test_rejects_scale_key(self):
+        # the rating scale cancels out of T = c * t * scale / scale * 100
+        doc = self.scenario_doc()
+        doc["defaults"]["scale"] = 5
+        with pytest.raises(ScenarioError, match="defaults"):
+            scenario_from_dict(doc)
+        doc = self.scenario_doc()
+        doc["components"]["C"]["scale"] = 5
+        with pytest.raises(ScenarioError, match="components.C"):
+            scenario_from_dict(doc)
+
     def test_extra_components_beyond_formula_are_allowed(self):
         doc = self.scenario_doc()
         doc["components"]["Watcher"] = {"t": 0.9, "c": 0.9}
@@ -346,7 +357,7 @@ class TestAssessSystem:
     def test_report_coherence(self):
         doc = {
             "formula": "(A | B) & C",
-            "defaults": {"f": 0.5, "scale": 5},
+            "defaults": {"f": 0.5},
             "components": {
                 "A": {"t": 0.714, "c": 0.724},
                 "B": {"t": 0.459, "c": 0.806},
@@ -433,3 +444,80 @@ class TestAssessSystem:
         }
         with pytest.raises(EvaluationError):
             assess_system(scenario_from_dict(doc))
+
+
+def chain(n: int) -> str:
+    return " & ".join(f"L{i}" for i in range(n))
+
+
+def same_tree(a, b) -> bool:
+    """Structural equality without recursion (dataclass ``==`` recurses)."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, Leaf):
+            if x != y:
+                return False
+        elif isinstance(x, Not):
+            stack.append((x.child, y.child))
+        else:
+            stack += [(x.left, y.left), (x.right, y.right)]
+    return True
+
+
+class TestDeepFormulas:
+    """Formula depth is bounded by memory, not by the interpreter's recursion limit."""
+
+    def test_left_deep_chain(self):
+        n = 2500
+        formula = parse_formula(chain(n))
+        assert free_variables(formula) == {f"L{i}" for i in range(n)}
+        text = unparse(formula)
+        assert text == chain(n)
+        assert same_tree(parse_formula(text), formula)
+        # f = 0.999 keeps the root prior 0.999**2500 well clear of underflow
+        leaves = {f"L{i}": Opinion(0.9, 0.8, 0.999) for i in range(n)}
+        expected = leaves["L0"]
+        for i in range(1, n):
+            expected = op_and(expected, leaves[f"L{i}"])
+        assert evaluate_formula(formula, leaves) == expected
+
+    def test_right_deep_tree_unparses_with_parentheses(self):
+        n = 1500
+        formula = Leaf(f"L{n - 1}")
+        for i in reversed(range(n - 1)):
+            formula = Or(Leaf(f"L{i}"), formula)
+        text = unparse(formula)
+        assert text == " | (".join(f"L{i}" for i in range(n - 1)) + f" | L{n - 1}" + ")" * (n - 2)
+        assert free_variables(formula) == {f"L{i}" for i in range(n)}
+
+    def test_stacked_negations_parse(self):
+        formula = parse_formula("!" * 1200 + "A")
+        assert unparse(formula) == "!" * 1200 + "A"
+        leaves = {"A": Opinion(0.25, 0.5, 0.375)}  # exact under x -> 1 - x
+        assert evaluate_formula(formula, leaves) == leaves["A"]  # NOT is an involution
+
+    def test_deep_parentheses_are_a_syntax_error(self):
+        with pytest.raises(FormulaSyntaxError, match="nested too deeply") as info:
+            parse_formula("(" * 400 + "A" + ")" * 400)
+        assert 0 < info.value.offset < 400
+
+    def test_moderate_nesting_still_parses(self):
+        assert parse_formula("(" * 100 + "A" + ")" * 100) == Leaf("A")
+        assert parse_formula("!(" * 50 + "A" + ")" * 50) == parse_formula("!" * 50 + "A")
+
+    def test_deep_json_is_a_scenario_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(ScenarioError, match="nested too deeply"):
+            load_scenario(path)
+
+    def test_assess_long_chain(self):
+        n = 1200
+        doc = {"formula": chain(n), "components": {f"L{i}": {"t": 0.9, "c": 0.8, "f": 0.999} for i in range(n)}}
+        report = assess_system(scenario_from_dict(doc))
+        assert len(report.nodes) == 2 * n - 1
+        assert report.nodes[-1].path == "root"
+        assert report.root.name == chain(n)
