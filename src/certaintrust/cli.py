@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -285,6 +286,10 @@ def cmd_assess(args: argparse.Namespace, config: RunConfig) -> int:
 # infer
 
 def cmd_infer(args: argparse.Namespace, config: RunConfig) -> int:
+    # the engine rejects these too, but as a DomainError (exit 3); a bad flag is a usage error
+    for flag, value in (("--c", args.c), ("--t", args.t)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be a finite number, got {value}")
     engine = MamdaniEngine(variables=config.variables(), step=config.sampling_step)
     trust = engine.infer(args.c, args.t)
     activations = engine.activations(args.c, args.t) if config.explain else []

@@ -15,6 +15,19 @@ overridden per set.
 Inference is classic Mamdani over a 25-rule base: min-conjunction of the two
 antecedent memberships, min-truncation implication, max aggregation and
 discrete centroid defuzzification over a sampled trust grid.
+``MamdaniEngine`` precompiles everything that depends only on its
+configuration: each consequent curve is sampled once over the trust grid (five
+curves serve the 25 default rules) and the rules are grouped by consequent.  A
+call fuzzifies each input with one vectorised Gaussian, takes all rule weights
+as one outer minimum, keeps the strongest weight per consequent and aggregates
+``max_k min(w_k, curve_k)``.  Because min and max only select among their
+operands, ``max_r min(w_r, curve_k(r))`` equals
+``max_k min(max_{r: k(r) = k} w_r, curve_k)`` element for element, so the
+crisp result is bit-identical to the stage-by-stage chain ``fuzzify ->
+rule_strength -> implicate -> aggregate -> defuzzify_centroid``, which stays
+public as the reference the tests compare the engine against.  Non-finite
+inputs raise ``DomainError``; finite inputs outside a universe are clamped to
+its edge.
 
 The module also carries the two published fuzzy associative memory (FAM)
 tables -- coarse (certainty, rating) -> class grids for the 20-person and
@@ -135,6 +148,11 @@ class FuzzySet:
         return cls(label=label, center=(lo + hi) / 2.0, sigma=halfwidth / _HALF_HEIGHT)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def gaussian_mf(x, fset: FuzzySet):
     """Gaussian membership of ``x`` in ``fset``; accepts scalars or arrays."""
     z = (np.asarray(x, dtype=float) - fset.center) / fset.sigma
@@ -164,8 +182,25 @@ class LinguisticVariable:
         if any(b <= a for a, b in zip(centers, centers[1:])):
             raise ConfigError(f"variable {self.name!r}: set centers must be strictly increasing")
 
+        # read-only set parameters for the one-call vectorised membership
+        object.__setattr__(self, "_centers", _read_only(np.array([s.center for s in self.sets])))
+        object.__setattr__(self, "_sigmas", _read_only(np.array([s.sigma for s in self.sets])))
+
     def clamp(self, x: float) -> float:
-        return min(self.domain_hi, max(self.domain_lo, float(x)))
+        """``x`` moved into the universe; NaN and infinities raise ``DomainError``."""
+        x = float(x)
+        if not math.isfinite(x):
+            raise DomainError(f"{self.name} input must be a finite number, got {x}")
+        return min(self.domain_hi, max(self.domain_lo, x))
+
+    def memberships(self, x: float) -> np.ndarray:
+        """Membership of the clamped ``x`` in every set, in set order.
+
+        One vectorised Gaussian; equal element for element to
+        ``gaussian_mf(self.clamp(x), s)`` for each set ``s``.
+        """
+        z = (self.clamp(x) - self._centers) / self._sigmas
+        return np.exp(-0.5 * z * z)
 
     def set_for(self, label: FuzzyLabel) -> FuzzySet:
         for s in self.sets:
@@ -178,7 +213,8 @@ def fuzzify(var: LinguisticVariable, x: float) -> dict[FuzzyLabel, float]:
     """Membership of ``x`` in every set of ``var``.
 
     Inputs outside the universe are clamped to its edge first (scaled ratings
-    can legitimately fall below the rating variable's 1.0 floor).
+    can legitimately fall below the rating variable's 1.0 floor).  This is
+    the stage-by-stage reference; the engine uses ``var.memberships``.
     """
     x = var.clamp(x)
     return {s.label: gaussian_mf(x, s) for s in var.sets}
@@ -312,19 +348,30 @@ def rule_strength(
     c_memberships: Mapping[FuzzyLabel, float],
     t_memberships: Mapping[FuzzyLabel, float],
 ) -> float:
-    """Firing weight of a rule: min of its two antecedent memberships."""
+    """Firing weight of a rule: min of its two antecedent memberships.
+
+    Reference stage; ``MamdaniEngine.infer`` takes every weight in one outer
+    minimum.
+    """
     return min(c_memberships[rule.certainty_label], t_memberships[rule.rating_label])
 
 
 def implicate(consequent: FuzzySet, weight: float, samples: np.ndarray) -> np.ndarray:
-    """Mamdani implication: the consequent's curve truncated at ``weight``."""
+    """Mamdani implication: the consequent's curve truncated at ``weight``.
+
+    Reference stage; ``MamdaniEngine.infer`` truncates its precomputed curves.
+    """
     if not 0.0 <= weight <= 1.0:
         raise DomainError(f"rule weight must lie in [0, 1], got {weight}")
     return np.minimum(weight, gaussian_mf(samples, consequent))
 
 
 def aggregate(truncated: Sequence[np.ndarray]) -> np.ndarray:
-    """Pointwise maximum of the truncated rule outputs."""
+    """Pointwise maximum of the truncated rule outputs.
+
+    Reference stage; ``MamdaniEngine.infer`` aggregates one truncated curve
+    per consequent.
+    """
     if len(truncated) == 0:
         raise DomainError("cannot aggregate an empty rule output list")
     return np.maximum.reduce(list(truncated))
@@ -352,7 +399,8 @@ class MamdaniEngine:
     """Full pipeline from (certainty, scaled rating) to a crisp trust percent.
 
     Deterministic for a fixed sampling step; instances are immutable after
-    construction and safe to share between threads.
+    construction (the precomputed arrays are read-only) and safe to share
+    between threads.
     """
 
     def __init__(
@@ -368,10 +416,24 @@ class MamdaniEngine:
         self.step = float(step)
         span = self.trust_var.domain_hi - self.trust_var.domain_lo
         n = int(round(span / self.step)) + 1
-        self.samples = np.linspace(self.trust_var.domain_lo, self.trust_var.domain_hi, n)
+        self.samples = _read_only(np.linspace(self.trust_var.domain_lo, self.trust_var.domain_hi, n))
+        # Rules grouped by consequent: rule r fires at cell (i, j) of the outer
+        # minimum of the certainty and rating memberships, flattened here.
+        c_index = {s.label: i for i, s in enumerate(self.certainty_var.sets)}
+        t_index = {s.label: j for j, s in enumerate(self.rating_var.sets)}
+        cells: dict[FuzzyLabel, list[int]] = {}
+        for rule in self.rules:
+            cell = c_index[rule.certainty_label] * len(t_index) + t_index[rule.rating_label]
+            cells.setdefault(rule.trust_label, []).append(cell)
+        consequents = sorted(cells, key=lambda label: label.rank)
+        self._rule_cells = _read_only(np.array([i for label in consequents for i in cells[label]]))
+        self._group_starts = _read_only(np.cumsum([0] + [len(cells[label]) for label in consequents[:-1]]))
+        self._curves = _read_only(
+            np.array([gaussian_mf(self.samples, self.trust_var.set_for(label)) for label in consequents])
+        )
 
     def activations(self, c: float, t_scaled: float) -> list[RuleActivation]:
-        """Firing weight of every rule at the given crisp inputs."""
+        """Firing weight of every rule at the given crisp inputs (for explain traces)."""
         mc = fuzzify(self.certainty_var, c)
         mt = fuzzify(self.rating_var, t_scaled)
         return [
@@ -380,12 +442,14 @@ class MamdaniEngine:
         ]
 
     def infer(self, c: float, t_scaled: float) -> float:
-        """Crisp trust percent via fuzzify -> rules -> implicate -> aggregate -> centroid."""
-        curves = [
-            implicate(self.trust_var.set_for(act.rule.trust_label), act.weight, self.samples)
-            for act in self.activations(c, t_scaled)
-        ]
-        return defuzzify_centroid(self.samples, aggregate(curves))
+        """Crisp trust percent; bit-identical to the stage-by-stage reference chain.
+
+        The strongest weight per consequent truncates that consequent's curve:
+        min and max only select, so this equals truncating once per rule.
+        """
+        weights = np.minimum.outer(self.certainty_var.memberships(c), self.rating_var.memberships(t_scaled))
+        strongest = np.maximum.reduceat(weights.ravel()[self._rule_cells], self._group_starts)
+        return defuzzify_centroid(self.samples, np.maximum.reduce(np.minimum(strongest[:, None], self._curves)))
 
 
 @lru_cache(maxsize=8)
@@ -405,12 +469,9 @@ def classify_trust(trust_pct: float, trust_var: LinguisticVariable | None = None
     ill-defined; maximum membership gives a deterministic reduction.
     """
     trust_var = trust_var or _default_engine(0.1).trust_var
-    best_label, best_value = None, -1.0
-    for fset in trust_var.sets:  # ascending order; >= keeps the higher class on ties
-        value = gaussian_mf(trust_var.clamp(trust_pct), fset)
-        if value >= best_value:
-            best_label, best_value = fset.label, value
-    return best_label
+    memberships = trust_var.memberships(trust_pct)
+    # sets ascend, so the last maximum is the higher class on ties
+    return trust_var.sets[memberships.size - 1 - int(memberships[::-1].argmax())].label
 
 
 @dataclass(frozen=True)
@@ -441,6 +502,8 @@ class FamTable:
                 raise ConfigError(f"FAM table {self.name!r}: classes must be nondecreasing along certainty")
 
     def _nearest(self, grid: tuple[float, ...], value: float, axis: str) -> int:
+        if not math.isfinite(value):
+            raise DomainError(f"{axis} value must be a finite number, got {value}")
         lo_step = grid[1] - grid[0]
         hi_step = grid[-1] - grid[-2]
         if value < grid[0] - lo_step / 2.0 or value > grid[-1] + hi_step / 2.0:

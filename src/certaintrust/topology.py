@@ -180,7 +180,19 @@ def _fold(
 
 def free_variables(node: Formula) -> frozenset[str]:
     """The component names referenced by a formula."""
-    return frozenset(n.name for n, _, _, _ in _fold(node) if isinstance(n, Leaf))
+    names: set[str] = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            names.add(node.name)
+        elif isinstance(node, Not):
+            stack.append(node.child)
+        elif isinstance(node, (And, Or)):
+            stack += (node.left, node.right)
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+    return frozenset(names)
 
 
 def unparse(node: Formula) -> str:

@@ -144,6 +144,14 @@ class TestInfer:
         code, _, _ = run(capsys, "infer", "--c", "zero", "--t", "3.0")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--c", "--t"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_input_is_usage_error(self, capsys, flag, value):
+        args = {"--c": "0.7", "--t": "3.0", flag: value}
+        code, out, err = run(capsys, "infer", *(f"{k}={v}" for k, v in args.items()))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "finite" in err
+
     def test_custom_f(self, capsys):
         _, out, _ = run(capsys, "infer", "--c", "1.0", "--t", "5.0", "--f", "0.9", "--format", "json")
         assert json.loads(out)["direction"] == "lower"
@@ -186,6 +194,14 @@ class TestMembershipDump:
 
 
 class TestFam:
+    @pytest.mark.parametrize("flag", ["--c", "--t"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_lookup_is_usage_error(self, capsys, flag, value):
+        args = {"--c": "0.6", "--t": "3", flag: value}
+        code, out, err = run(capsys, "fam", "people20", *(f"{k}={v}" for k, v in args.items()))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "finite" in err
+
     def test_people20_grid(self, capsys):
         code, out, _ = run(capsys, "fam", "people20")
         assert code == 0

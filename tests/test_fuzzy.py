@@ -16,6 +16,8 @@ from certaintrust import (
     FuzzySet,
     LinguisticVariable,
     MamdaniEngine,
+    Rule,
+    RuleBase,
     aggregate,
     build_default_rulebase,
     build_default_variables,
@@ -115,6 +117,16 @@ class TestFuzzify:
     @given(st.floats(0.0, 1.0, allow_nan=False))
     def test_membership_range(self, x):
         assert all(0.0 < v <= 1.0 for v in fuzzify(CERTAINTY, x).values())
+
+    @given(st.floats(-1.0, 7.0, allow_nan=False))
+    def test_vectorised_memberships_equal_reference(self, x):
+        for var in (CERTAINTY, RATING):
+            assert var.memberships(x).tolist() == list(fuzzify(var, x).values())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_is_rejected(self, value):
+        with pytest.raises(DomainError, match="finite"):
+            fuzzify(RATING, value)
 
 
 class TestRuleBase:
@@ -271,6 +283,25 @@ class TestInference:
     def test_output_inside_trust_domain(self, c, t):
         assert 0.0 <= infer_trust(c, t) <= 100.0
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_are_rejected(self, value):
+        engine = MamdaniEngine()
+        for c, t in ((value, 3.0), (0.5, value)):
+            with pytest.raises(DomainError, match="finite"):
+                engine.infer(c, t)
+            with pytest.raises(DomainError, match="finite"):
+                engine.activations(c, t)
+
+    def test_finite_out_of_domain_inputs_still_clamp(self):
+        assert infer_trust(7.0, 30.0) == infer_trust(1.0, 5.0)
+        assert infer_trust(-1.0, 0.0) == infer_trust(0.0, 1.0)
+
+    def test_precomputed_arrays_are_read_only(self):
+        engine = MamdaniEngine()
+        for array in (engine.samples, engine._curves, engine.certainty_var._centers):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+
     def test_step_must_be_sane(self):
         with pytest.raises(ConfigError):
             MamdaniEngine(step=0.0)
@@ -314,6 +345,66 @@ class TestInference:
         }
 
 
+def reference_infer(engine: MamdaniEngine, c: float, t: float) -> float:
+    """The stage-by-stage chain on the engine's own variables, rules and grid."""
+    mc, mt = fuzzify(engine.certainty_var, c), fuzzify(engine.rating_var, t)
+    truncated = [
+        implicate(engine.trust_var.set_for(rule.trust_label), rule_strength(rule, mc, mt), engine.samples)
+        for rule in engine.rules
+    ]
+    return defuzzify_centroid(engine.samples, aggregate(truncated))
+
+
+def _custom_rulebase(consequent) -> RuleBase:
+    return RuleBase(Rule(c, t, consequent(c.rank, t.rank)) for c in FuzzyLabel for t in FuzzyLabel)
+
+
+LABELS = list(FuzzyLabel)
+OVERRIDES = {
+    "certainty": {"high": {"sigma": 0.05}},
+    "rating": {"low": {"center": 2.0}},
+    "trust": {"average": {"center": 52.0, "sigma": 18.0}, "very_high": {"sigma": 4.0}},
+}
+ENGINES = {
+    "default-0.1": MamdaniEngine(step=0.1),
+    "default-0.01": MamdaniEngine(step=0.01),
+    "overrides": MamdaniEngine(variables=build_default_variables(OVERRIDES), step=0.1),
+    # every class used, paired differently from the default
+    "rules-midpoint": MamdaniEngine(rules=_custom_rulebase(lambda c, t: LABELS[(c + t) // 2]), step=0.01),
+    # two consequents only, so the engine keeps two curves, not five
+    "rules-two-class": MamdaniEngine(
+        rules=_custom_rulebase(lambda c, t: FuzzyLabel.VERY_HIGH if c + t >= 5 else FuzzyLabel.VERY_LOW)
+    ),
+}
+PEOPLE100_POINTS = [(c, t) for c in fam_people100().c_grid for t in fam_people100().t_grid]
+
+
+class TestEngineMatchesReference:
+    """The precompiled engine equals the reference chain exactly, not approximately."""
+
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    def test_people100_grid(self, name):
+        engine = ENGINES[name]
+        for c, t in PEOPLE100_POINTS:
+            assert engine.infer(c, t) == reference_infer(engine, c, t), (c, t)
+
+    @given(
+        st.sampled_from(sorted(ENGINES)),
+        st.floats(-0.25, 1.25, allow_nan=False),
+        st.floats(0.5, 5.5, allow_nan=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_points(self, name, c, t):
+        engine = ENGINES[name]
+        assert engine.infer(c, t) == reference_infer(engine, c, t)
+
+    def test_configuration_is_read_from_the_engine(self):
+        # guards against a precompute that silently falls back to the defaults
+        default = ENGINES["default-0.1"]
+        for name in ("overrides", "rules-two-class"):
+            assert any(ENGINES[name].infer(c, t) != default.infer(c, t) for c, t in PEOPLE100_POINTS), name
+
+
 class TestClassifyTrust:
     @pytest.mark.parametrize(
         "value,expected",
@@ -338,6 +429,11 @@ class TestClassifyTrust:
     def test_out_of_domain_clamped(self):
         assert classify_trust(150.0) is FuzzyLabel.VERY_HIGH
         assert classify_trust(-3.0) is FuzzyLabel.VERY_LOW
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_is_rejected(self, value):
+        with pytest.raises(DomainError, match="finite"):
+            classify_trust(value)
 
 
 EXPECTED_PEOPLE20 = [
@@ -395,6 +491,14 @@ class TestFamTables:
             table.lookup(0.5, 5.6)
         with pytest.raises(DomainError):
             table.lookup(-0.2, 1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lookup_is_rejected(self, value):
+        for table in (fam_people20(), fam_people100()):
+            with pytest.raises(DomainError, match="finite"):
+                table.lookup(value, 3.0)
+            with pytest.raises(DomainError, match="finite"):
+                table.lookup(0.5, value)
 
     def test_invariant_validation(self):
         with pytest.raises(ConfigError):

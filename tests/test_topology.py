@@ -493,6 +493,17 @@ class TestDeepFormulas:
         assert text == " | (".join(f"L{i}" for i in range(n - 1)) + f" | L{n - 1}" + ")" * (n - 2)
         assert free_variables(formula) == {f"L{i}" for i in range(n)}
 
+    def test_free_variables_do_not_run_the_fold(self, monkeypatch):
+        nested = parse_formula("!(A & !B) | !!(C | (A & !D))")
+        long_chain = parse_formula(chain(5000))
+        expected = [
+            frozenset(node.name for node, *_ in topology._fold(f) if isinstance(node, Leaf))
+            for f in (nested, long_chain)
+        ]
+        assert expected[0] == {"A", "B", "C", "D"}
+        monkeypatch.setattr(topology, "_fold", None)  # collecting names needs no paths or texts
+        assert [free_variables(nested), free_variables(long_chain)] == expected
+
     def test_stacked_negations_parse(self):
         formula = parse_formula("!" * 1200 + "A")
         assert unparse(formula) == "!" * 1200 + "A"
